@@ -1,28 +1,32 @@
 //! # ablate_sharding — the ParSim sharded-cluster ablation
 //!
 //! Runs the Fig 10 shared-file sweep (root writes, every node reads,
-//! MCD(1)) on the sharded engine twice per point — once serial
-//! (`workers = 1`), once on an 8-worker fleet — and asserts the two
-//! properties the sharding refactor promises:
+//! MCD(1)) on the sharded engine three times per point — serial
+//! (`workers = 1`), on as many workers as the host has cores
+//! (`available_parallelism`), and on an 8-worker fleet — and asserts the
+//! two properties the sharding refactor promises:
 //!
 //! * **`sharded_bitident`** — the simulated outcome (per-size
 //!   latencies, every timed op, virtual end time, event count, and the
 //!   whole merged metrics document minus the host-clock `sim.*`
-//!   profile) is bit-identical across worker counts. Conservative
-//!   barrier-epoch sync is not an approximation.
+//!   profile) is bit-identical across all three worker counts.
+//!   Conservative barrier-epoch sync is not an approximation.
 //! * **`sharded_speedup`** — the shard cut exposes ≥2× parallelism at
 //!   8 workers. The figure is the critical-path projection from the
 //!   serial run's per-shard busy wall time onto the round-robin
 //!   8-worker assignment (total busy ÷ busiest worker's share): the
 //!   machine-independent statement of how much faster the fleet runs
-//!   once 8 host cores are actually free. The measured wall ratio and
-//!   the host's core count are recorded alongside — on a box with
-//!   fewer free cores than workers the wall ratio legitimately sits
-//!   near 1 while the projection holds.
+//!   once 8 host cores are actually free. The measured wall ratios of
+//!   1 worker over the host-core fleet and over the 8-worker fleet, the
+//!   host's core count, and each run's epoch profile (shard windows run,
+//!   host time in windows, coordinator handoff and barrier waits) are
+//!   recorded alongside — on a box with fewer free cores than workers
+//!   the 8-worker wall ratio legitimately falls below 1 while the
+//!   projection holds.
 //!
 //! Emits `results/ablate_sharding.{json,txt}`, the merged metrics
-//! document (including the `sim.epochs` / `sim.events_per_epoch` /
-//! per-worker busy-idle efficiency counters), and the consolidated
+//! document (including the `sim.epochs` / `sim.events` / `sim.windows`
+//! counters and the per-worker phase profile), and the consolidated
 //! `results/BENCH_10.json` that `scripts/tier1.sh --strict` checks.
 
 use imca_bench::{emit, emit_metrics, Options};
@@ -31,7 +35,7 @@ use imca_metrics::Snapshot;
 use imca_workloads::latbench::LatencyBench;
 use imca_workloads::report::Table;
 use imca_workloads::shardbench::{
-    critical_path_speedup, run, ShardedLatencyBench, ShardedLatencyResult,
+    critical_path_speedup, run, FleetProfile, ShardedLatencyBench, ShardedLatencyResult,
 };
 use imca_workloads::SystemSpec;
 
@@ -87,6 +91,7 @@ fn main() {
         nodes: usize,
         plan: ShardPlan,
         serial: ShardedLatencyResult,
+        fleet_host: ShardedLatencyResult,
         fleet8: ShardedLatencyResult,
         bitident: bool,
         speedup: f64,
@@ -110,30 +115,34 @@ fn main() {
             shared_file: true,
             seed: opts.seed,
         };
-        let serial = run(&ShardedLatencyBench {
-            bench: bench.clone(),
-            plan,
-            workers: 1,
-        });
-        let fleet8 = run(&ShardedLatencyBench {
-            bench,
-            plan,
-            workers: SPEEDUP_WORKERS,
-        });
-        let identical = bitident(&serial, &fleet8);
+        let run_on = |workers: usize| {
+            run(&ShardedLatencyBench {
+                bench: bench.clone(),
+                plan,
+                workers,
+            })
+        };
+        let serial = run_on(1);
+        let fleet_host = run_on(host_cores());
+        let fleet8 = run_on(SPEEDUP_WORKERS);
+        let identical = bitident(&serial, &fleet_host) && bitident(&serial, &fleet8);
         // The serial run measures every shard's busy time on one core —
         // the honest input for projecting the 8-worker critical path.
         let speedup = critical_path_speedup(&serial.fleet.shard_busy_ns, SPEEDUP_WORKERS);
         println!(
             "{nodes:>3} nodes ({} shards): read {:.2} us, {} events / {} epochs \
-             ({:.0} ev/epoch), bitident={identical}, critical-path speedup {speedup:.2}x \
-             (wall {:.3}s -> {:.3}s on {} host cores)",
+             ({:.1} ev/epoch, {:.2} windows/epoch), bitident={identical}, critical-path \
+             speedup {speedup:.2}x (wall {:.3}s at 1w, {:.3}s at {}w, {:.3}s at \
+             {SPEEDUP_WORKERS}w on {} host cores)",
             1 + plan.bank_shards + plan.client_groups,
             serial.result.read_at(record_size).unwrap(),
             serial.fleet.events,
             serial.fleet.epochs,
             serial.fleet.events_per_epoch,
+            serial.fleet.windows_per_epoch(),
             serial.fleet.wall_ns as f64 / 1e9,
+            fleet_host.fleet.wall_ns as f64 / 1e9,
+            host_cores(),
             fleet8.fleet.wall_ns as f64 / 1e9,
             host_cores(),
         );
@@ -141,6 +150,7 @@ fn main() {
             nodes,
             plan,
             serial,
+            fleet_host,
             fleet8,
             bitident: identical,
             speedup,
@@ -174,12 +184,13 @@ fn main() {
     let all_bitident = points.iter().all(|p| p.bitident);
     let sharded_speedup = claim.speedup;
     let speedup_ge_2x = sharded_speedup >= 2.0;
-    let wall_ratio = claim.serial.fleet.wall_ns as f64 / claim.fleet8.fleet.wall_ns.max(1) as f64;
+    let wall_ratio = measured_ratio(&claim.serial.fleet, &claim.fleet8.fleet);
+    let wall_ratio_host = measured_ratio(&claim.serial.fleet, &claim.fleet_host.fleet);
 
     println!(
         "claims at {} nodes: sharded_bitident={all_bitident}, sharded_speedup={sharded_speedup:.2}x \
-         (critical-path at {SPEEDUP_WORKERS} workers; measured wall ratio {wall_ratio:.2}x on \
-         {} host cores)",
+         (critical-path at {SPEEDUP_WORKERS} workers; measured wall ratio {wall_ratio_host:.2}x at \
+         {} workers = host cores, {wall_ratio:.2}x at {SPEEDUP_WORKERS} workers)",
         claim.nodes,
         host_cores(),
     );
@@ -205,8 +216,11 @@ fn main() {
         doc.push_str(&format!(
             "    {{\"nodes\": {}, \"shards\": {}, \"client_groups\": {}, \"bank_shards\": {}, \
              \"read_us\": {:.3}, \"end_time_ns\": {}, \"events\": {}, \"epochs\": {}, \
-             \"events_per_epoch\": {:.1}, \"bitident\": {}, \"critical_path_speedup\": {:.3}, \
-             \"wall_1w_s\": {:.4}, \"wall_8w_s\": {:.4}}}{}\n",
+             \"events_per_epoch\": {:.3}, \"windows\": {}, \"windows_per_epoch\": {:.3}, \
+             \"bitident\": {}, \"critical_path_speedup\": {:.3}, \
+             \"wall_1w_s\": {:.4}, \"wall_host_w_s\": {:.4}, \"wall_8w_s\": {:.4}, \
+             \"measured_wall_ratio_host_w\": {:.3}, \"measured_wall_ratio_8w\": {:.3}, \
+             \"epoch_profile\": {{\"1w\": {}, \"host_w\": {}, \"8w\": {}}}}}{}\n",
             p.nodes,
             1 + p.plan.bank_shards + p.plan.client_groups,
             p.plan.client_groups,
@@ -216,10 +230,18 @@ fn main() {
             p.serial.fleet.events,
             p.serial.fleet.epochs,
             p.serial.fleet.events_per_epoch,
+            p.serial.fleet.windows,
+            p.serial.fleet.windows_per_epoch(),
             p.bitident,
             p.speedup,
             p.serial.fleet.wall_ns as f64 / 1e9,
+            p.fleet_host.fleet.wall_ns as f64 / 1e9,
             p.fleet8.fleet.wall_ns as f64 / 1e9,
+            measured_ratio(&p.serial.fleet, &p.fleet_host.fleet),
+            measured_ratio(&p.serial.fleet, &p.fleet8.fleet),
+            phase_json(&p.serial.fleet),
+            phase_json(&p.fleet_host.fleet),
+            phase_json(&p.fleet8.fleet),
             if i + 1 < total { "," } else { "" }
         ));
     }
@@ -233,7 +255,8 @@ fn main() {
          equals the wall-clock ratio once >= 8 host cores are free\",\n",
     );
     doc.push_str(&format!(
-        "  \"measured_wall_ratio\": {wall_ratio:.3},\n  \"host_cores\": {},\n",
+        "  \"measured_wall_ratio\": {wall_ratio:.3},\n  \"measured_wall_ratio_host_workers\": \
+         {wall_ratio_host:.3},\n  \"host_cores\": {},\n",
         host_cores()
     ));
     doc.push_str(&format!(
@@ -246,8 +269,9 @@ fn main() {
     println!("(consolidated summary written to {})", path.display());
 
     // Metrics document from the deepest point's serial run — carries the
-    // fleet-efficiency counters (sim.epochs, sim.events_per_epoch,
-    // per-shard and per-worker busy/idle) next to the cluster tiers.
+    // fleet-efficiency counters (sim.epochs, sim.events, sim.windows,
+    // per-shard busy and the per-worker phase profile) next to the
+    // cluster tiers.
     let mut merged = Snapshot::new();
     merged.merge_prefixed(
         &format!("sharded_mcd_1.{}n", claim.nodes),
@@ -270,6 +294,25 @@ fn main() {
         "claims hold: bit-identical across 1/{SPEEDUP_WORKERS} workers, \
          {sharded_speedup:.2}x critical-path speedup"
     );
+}
+
+/// Measured wall-clock speedup of `fleet` over the serial run.
+fn measured_ratio(serial: &FleetProfile, fleet: &FleetProfile) -> f64 {
+    serial.wall_ns as f64 / fleet.wall_ns.max(1) as f64
+}
+
+/// One run's epoch profile: host time summed over workers per phase.
+fn phase_json(f: &FleetProfile) -> String {
+    let sum = |v: &[u64]| v.iter().sum::<u64>();
+    format!(
+        "{{\"workers\": {}, \"windows\": {}, \"window_ns\": {}, \"handoff_ns\": {}, \
+         \"barrier_ns\": {}}}",
+        f.worker_busy_ns.len(),
+        f.windows,
+        sum(&f.worker_window_ns),
+        sum(&f.worker_handoff_ns),
+        sum(&f.worker_barrier_ns),
+    )
 }
 
 fn host_cores() -> usize {

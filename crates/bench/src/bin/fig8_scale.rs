@@ -7,9 +7,14 @@
 //!    watchdog per op, reply-task spawn, materialised wire frames) and
 //!    the refactored fast path (`Optimized`: timer wheel + slab store,
 //!    pooled encoding, struct RPC). The simulated outcome must be
-//!    bit-identical; only the simulator's wall clock may differ. Each
-//!    engine is timed best-of-N (the min is the honest estimate on a
-//!    noisy box — interference only ever adds time).
+//!    bit-identical; only the simulator's wall clock may differ. The
+//!    engines run in interleaved pairs (alternating which goes first),
+//!    and the gate is the median of the per-pair wall ratios: host
+//!    drift hits both halves of a pair alike, and one disturbed pair
+//!    cannot move a median. Deterministic cost counters (engine events,
+//!    tasks and allocations per op, from one untimed counting run per
+//!    engine) are recorded alongside, so a change in the ratio can be
+//!    told apart from a change in the work.
 //! 2. **Scaling sweep** — clients × MCDs grid under the fast engine,
 //!    locating the saturation knee per series: p99 inflection,
 //!    superlinear hottest-daemon queue growth, server-NIC utilisation,
@@ -19,6 +24,8 @@
 //! `results/BENCH_8.json` that `scripts/tier1.sh --strict` checks for
 //! the `opsec_speedup_4x` and `knee_found` claims.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use imca_bench::{emit, parallel_sweep_bounded, Options};
@@ -30,28 +37,107 @@ const CLAIM_CLIENTS: usize = 10_000;
 const CLAIM_MCDS: usize = 8;
 const CLAIM_OPS: u64 = 20;
 
-/// One timed engine measurement: best-of-`repeats` wall clock plus the
-/// (deterministic, repeat-invariant) simulation output.
-struct Timed {
-    wall_min: f64,
-    walls: Vec<f64>,
-    out: ScaleOut,
+/// Interleaved base/fast pairs timed at the claim point.
+const PAIRS: usize = 11;
+
+/// The system allocator, counting allocations while [`COUNTING`] is set
+/// (the timed runs leave it clear and pay one relaxed load each).
+struct CountingAlloc;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counters are statistics and guard no memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        }
+        // SAFETY: `ptr` came from `System` with this `layout`, and the
+        // caller upholds `realloc`'s contract for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
 }
 
-fn time_engine(cfg: &ScaleConfig, repeats: usize) -> Timed {
-    let mut walls = Vec::with_capacity(repeats);
-    let mut out = None;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        let res = run_scale(cfg);
-        walls.push(t0.elapsed().as_secs_f64());
-        out = Some(res);
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// One engine at the claim point: the simulated outcome and allocation
+/// counts of an untimed counting run, plus the wall time of each timed
+/// run.
+struct Engine {
+    out: ScaleOut,
+    allocs: u64,
+    alloc_bytes: u64,
+    walls: Vec<f64>,
+}
+
+impl Engine {
+    /// Run `cfg` once with allocation counting on (also the warm-up).
+    fn counted(cfg: &ScaleConfig) -> Engine {
+        let (a0, b0) = (
+            ALLOCS.load(Ordering::Relaxed),
+            ALLOC_BYTES.load(Ordering::Relaxed),
+        );
+        COUNTING.store(true, Ordering::Relaxed);
+        let out = run_scale(cfg);
+        COUNTING.store(false, Ordering::Relaxed);
+        Engine {
+            out,
+            allocs: ALLOCS.load(Ordering::Relaxed) - a0,
+            alloc_bytes: ALLOC_BYTES.load(Ordering::Relaxed) - b0,
+            walls: Vec::with_capacity(PAIRS),
+        }
     }
-    let wall_min = walls.iter().copied().fold(f64::INFINITY, f64::min);
-    Timed {
-        wall_min,
-        walls,
-        out: out.expect("repeats must be >= 1"),
+
+    /// Time one run of `cfg`, checking it replays the counted outcome.
+    fn time(&mut self, cfg: &ScaleConfig) -> f64 {
+        let t0 = Instant::now();
+        let out = run_scale(cfg);
+        let wall = t0.elapsed().as_secs_f64();
+        assert!(
+            out.ops == self.out.ops && out.events == self.out.events,
+            "a timed repetition diverged from the counted run"
+        );
+        self.walls.push(wall);
+        wall
+    }
+
+    fn wall_median(&self) -> f64 {
+        median(&self.walls)
+    }
+
+    fn per_op(&self, n: u64) -> f64 {
+        n as f64 / self.out.ops.max(1) as f64
+    }
+}
+
+fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    assert!(n > 0, "median of nothing");
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
     }
 }
 
@@ -137,7 +223,6 @@ fn main() {
     );
 
     // ---- engine A/B at the claim point (timed, strictly sequential) ----
-    let repeats = 3;
     let mut claim_cfg = ScaleConfig::new(CLAIM_CLIENTS, CLAIM_MCDS);
     claim_cfg.ops_per_client = CLAIM_OPS;
     claim_cfg.seed = opts.seed;
@@ -145,10 +230,24 @@ fn main() {
     base_cfg.engine = EngineStyle::SingleLoop;
     claim_cfg.engine = EngineStyle::Optimized;
     println!(
-        "engine A/B: {CLAIM_CLIENTS} clients x {CLAIM_MCDS} MCDs, {CLAIM_OPS} ops/client, best of {repeats}"
+        "engine A/B: {CLAIM_CLIENTS} clients x {CLAIM_MCDS} MCDs, {CLAIM_OPS} ops/client, \
+         median of {PAIRS} interleaved pair ratios"
     );
-    let base = time_engine(&base_cfg, repeats);
-    let fast = time_engine(&claim_cfg, repeats);
+    let mut base = Engine::counted(&base_cfg);
+    let mut fast = Engine::counted(&claim_cfg);
+    let pair_ratios: Vec<f64> = (0..PAIRS)
+        .map(|i| {
+            // Alternate which engine goes first so a drift in host speed
+            // within a pair biases neither.
+            if i % 2 == 0 {
+                let b = base.time(&base_cfg);
+                b / fast.time(&claim_cfg)
+            } else {
+                let f = fast.time(&claim_cfg);
+                base.time(&base_cfg) / f
+            }
+        })
+        .collect();
 
     // The refactor must not change what is simulated, only how fast.
     let outcome_identical = base.out.ops == fast.out.ops
@@ -158,20 +257,30 @@ fn main() {
         && base.out.latency.quantile(0.99) == fast.out.latency.quantile(0.99)
         && base.out.queue_peaks == fast.out.queue_peaks;
     // Identical simulated work, so the wall ratio *is* the ops/sec ratio.
-    let speedup = base.wall_min / fast.wall_min;
+    let speedup = median(&pair_ratios);
     for (label, t) in [("single_loop", &base), ("optimized", &fast)] {
         println!(
-            "  {label:>11}: wall {:.3}s (all {:?}), {} engine events, {:.0} sim-ops/wall-sec",
-            t.wall_min,
+            "  {label:>11}: wall median {:.3}s (all {:?}), {:.1} events/op, {:.2} tasks/op, \
+             {:.1} allocs/op, {:.0} sim-ops/wall-sec",
+            t.wall_median(),
             t.walls
                 .iter()
                 .map(|w| (w * 1000.0).round() / 1000.0)
                 .collect::<Vec<_>>(),
-            t.out.events,
-            t.out.ops as f64 / t.wall_min
+            t.per_op(t.out.events),
+            t.per_op(t.out.tasks_spawned),
+            t.per_op(t.allocs),
+            t.out.ops as f64 / t.wall_median()
         );
     }
-    println!("  speedup (min/min): {speedup:.2}x; outcome identical: {outcome_identical}");
+    println!(
+        "  speedup (median of pair ratios {:?}): {speedup:.2}x; outcome identical: \
+         {outcome_identical}",
+        pair_ratios
+            .iter()
+            .map(|r| (r * 100.0).round() / 100.0)
+            .collect::<Vec<_>>()
+    );
 
     // ---- scaling sweep under the fast engine ----
     let (client_grid, mcd_grid, r2_clients): (Vec<usize>, Vec<usize>, Vec<usize>) = if opts.smoke {
@@ -292,27 +401,41 @@ fn main() {
     doc.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     doc.push_str(&format!(
         "  \"claim_point\": {{\"clients\": {CLAIM_CLIENTS}, \"mcds\": {CLAIM_MCDS}, \
-         \"ops_per_client\": {CLAIM_OPS}, \"repeats\": {repeats}}},\n"
+         \"ops_per_client\": {CLAIM_OPS}, \"pairs\": {PAIRS}}},\n"
     ));
     doc.push_str("  \"engine_comparison\": {\n");
     for (label, t) in [("single_loop", &base), ("optimized", &fast)] {
         doc.push_str(&format!(
-            "    \"{label}\": {{\"wall_secs_min\": {:.4}, \"wall_secs_all\": [{}], \
-             \"engine_events\": {}, \"tasks_spawned\": {}, \"sim_ops_per_wall_sec\": {:.0}, \
-             \"sim_p99_us\": {:.2}, \"sim_end_ms\": {:.3}}},\n",
-            t.wall_min,
+            "    \"{label}\": {{\"wall_secs_median\": {:.4}, \"wall_secs_all\": [{}], \
+             \"engine_events\": {}, \"events_per_op\": {:.3}, \"tasks_spawned\": {}, \
+             \"tasks_per_op\": {:.3}, \"allocs_per_op\": {:.2}, \"alloc_bytes_per_op\": {:.1}, \
+             \"sim_ops_per_wall_sec\": {:.0}, \"sim_p99_us\": {:.2}, \"sim_end_ms\": {:.3}}},\n",
+            t.wall_median(),
             t.walls
                 .iter()
                 .map(|w| format!("{w:.4}"))
                 .collect::<Vec<_>>()
                 .join(", "),
             t.out.events,
+            t.per_op(t.out.events),
             t.out.tasks_spawned,
-            t.out.ops as f64 / t.wall_min,
+            t.per_op(t.out.tasks_spawned),
+            t.per_op(t.allocs),
+            t.per_op(t.alloc_bytes),
+            t.out.ops as f64 / t.wall_median(),
             p99_us(&t.out),
             t.out.end_time.as_nanos() as f64 / 1e6,
         ));
     }
+    doc.push_str(&format!(
+        "    \"pair_ratios\": [{}],\n    \"speedup_method\": \"median of per-pair wall ratios \
+         over {PAIRS} interleaved single_loop/optimized pairs\",\n",
+        pair_ratios
+            .iter()
+            .map(|r| format!("{r:.3}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    ));
     doc.push_str(&format!(
         "    \"speedup_ops_per_sec\": {speedup:.3},\n    \"simulated_outcome_identical\": {outcome_identical}\n  }},\n"
     ));

@@ -9,7 +9,8 @@
 //! 1. A coordinator computes `horizon = min(next event anywhere) + lookahead`.
 //! 2. Cross-shard messages with `at < horizon` are handed to their
 //!    destination shards, **sorted by the canonical key `(at, src, seq)`**.
-//! 3. Every shard runs all its events in `[.., horizon)` in parallel.
+//! 3. Every shard with work before the horizon runs its events in
+//!    `[.., horizon)` in parallel.
 //! 4. Newly sent messages are collected and the cycle repeats.
 //!
 //! Because a message sent at time `t` arrives no earlier than
@@ -21,6 +22,12 @@
 //! in whatever order threads finish, but `(src, seq)` is unique per
 //! message, so the sort erases that scheduling noise before any shard can
 //! observe it. `workers = 1` and `workers = 8` replay the same trace.
+//!
+//! A shard whose batch is empty and whose next event lies at or past the
+//! horizon skips the epoch: its window would pop no timer and poll no
+//! task, so skipping it changes nothing but the host time spent. Epochs
+//! end at one [`EpochBarrier`] whose last arriver runs the coordinator
+//! step before it releases the others.
 //!
 //! Within a shard the ordinary engine rules apply (total event order
 //! `(at, node, seq)`); delivery pumps run on the reserved node
@@ -36,7 +43,9 @@ use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use crate::det;
 use crate::sim::{RunSummary, Sim, SimHandle};
@@ -261,13 +270,23 @@ pub struct ParSim {
 /// Wall-clock execution profile of one worker thread. Measured with the
 /// host clock, so it is *not* part of the deterministic trace — it exists
 /// to make shard-plan quality observable (a plan whose workers sit mostly
-/// idle left parallelism on the table).
+/// idle left parallelism on the table) and to attribute the epoch loop's
+/// cost by phase.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerProfile {
     /// Wall time spent building shards and executing epoch windows.
-    pub busy: std::time::Duration,
-    /// Wall time spent waiting at epoch barriers / coordination.
-    pub idle: std::time::Duration,
+    pub busy: Duration,
+    /// Wall time spent outside shard work: handoff and barrier waits.
+    pub idle: Duration,
+    /// Wall time spent executing shard windows (`busy` minus the build).
+    pub windows: Duration,
+    /// Wall time spent in the coordinator handoff: the horizon, the
+    /// partition and canonical sort of parcels (on whichever worker
+    /// arrived last), taking batches and posting results.
+    pub handoff: Duration,
+    /// Wall time spent waiting at the epoch barrier for other workers,
+    /// including the coordinator step the last arriver runs.
+    pub barrier: Duration,
 }
 
 /// Aggregated result of a [`ParSim`] run.
@@ -282,14 +301,20 @@ pub struct ParSummary {
     pub tasks_leaked: u64,
     /// Number of barrier epochs executed.
     pub epochs: u64,
+    /// Shard windows executed, summed over shards. A shard runs a window
+    /// only in epochs where it has parcels or an event before the
+    /// horizon, so this is at most `shards × epochs`. Deterministic.
+    pub windows: u64,
     /// Per-shard run summaries, indexed by shard.
     pub shards: Vec<RunSummary>,
-    /// Per-worker busy/idle wall-clock profile, indexed by worker.
+    /// Shard windows executed, indexed by shard. Deterministic.
+    pub shard_windows: Vec<u64>,
+    /// Per-worker wall-clock profile, indexed by worker.
     pub workers: Vec<WorkerProfile>,
     /// Wall time each shard spent executing its epoch windows, indexed by
     /// shard. The serial run's per-shard times project the critical path
     /// of any worker assignment (shards are assigned round-robin).
-    pub shard_busy: Vec<std::time::Duration>,
+    pub shard_busy: Vec<Duration>,
     outputs: Vec<Option<ShardOutput>>,
 }
 
@@ -318,6 +343,7 @@ impl std::fmt::Debug for ParSummary {
             .field("end_time", &self.end_time)
             .field("events", &self.events)
             .field("epochs", &self.epochs)
+            .field("windows", &self.windows)
             .field("shards", &self.shards.len())
             .finish()
     }
@@ -332,7 +358,9 @@ fn mix_seed(seed: u64, shard: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Coordinator state shared by the workers (locked only between epochs).
+/// Coordinator state shared by the workers. Between barriers a worker
+/// touches only its own shards' entries and appends to `pending`; the
+/// epoch step runs on the last worker to arrive while the others wait.
 struct Coord {
     pending: Vec<Parcel>,
     next_times: Vec<Option<u64>>,
@@ -348,6 +376,93 @@ struct Coord {
 /// into a wedged suite.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How long a barrier waiter spins before it parks. Long enough to cover
+/// the skew between workers finishing a typical epoch, short enough that
+/// a worker whose peer is descheduled gives the core back quickly.
+const SPIN: Duration = Duration::from_micros(20);
+
+/// The epoch barrier: one rendezvous per epoch whose last arriver runs
+/// the coordinator step before releasing the rest.
+///
+/// Unlike `std::sync::Barrier`, the release makes no syscall unless a
+/// waiter actually parked, so a lone worker pays a few atomic operations
+/// per epoch. Waiters spin for [`SPIN`] before parking, but only when
+/// every participant can have a core of its own; with more threads than
+/// cores a spinning waiter would burn the time slice the thread it waits
+/// for needs.
+struct EpochBarrier {
+    n: usize,
+    spin: bool,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    /// Waiters parked (or about to park) on `wake`.
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl EpochBarrier {
+    fn new(n: usize) -> EpochBarrier {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        EpochBarrier::with_spin(n, n <= cores)
+    }
+
+    fn with_spin(n: usize, spin: bool) -> EpochBarrier {
+        EpochBarrier {
+            n,
+            spin,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Block until all `n` threads have called `wait_then`; the last to
+    /// arrive runs `leader` before anyone returns, and gets `true`.
+    /// `leader` must not panic, or the other participants wait forever.
+    fn wait_then(&self, leader: impl FnOnce()) -> bool {
+        let gen = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            leader();
+            self.arrived.store(0, Ordering::Relaxed);
+            // SeqCst pairs with the waiter's `sleepers` increment: either
+            // the waiter sees the new generation or we see it parked.
+            self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                let _guard = lock(&self.lock);
+                self.wake.notify_all();
+            }
+            return true;
+        }
+        if self.spin {
+            let start = Instant::now();
+            loop {
+                for _ in 0..16 {
+                    if self.generation.load(Ordering::Acquire) != gen {
+                        return false;
+                    }
+                    std::hint::spin_loop();
+                }
+                if start.elapsed() >= SPIN {
+                    break;
+                }
+            }
+        }
+        let mut guard = lock(&self.lock);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while self.generation.load(Ordering::SeqCst) == gen {
+            guard = self
+                .wake
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        false
+    }
 }
 
 impl ParSim {
@@ -446,7 +561,7 @@ impl ParSim {
             poisoned: false,
             epochs: 0,
         });
-        let barrier = Barrier::new(workers);
+        let barrier = EpochBarrier::new(workers);
         let results: Mutex<Vec<SlotResult>> = Mutex::new(Vec::new());
         let profiles: Mutex<Vec<(usize, WorkerProfile)>> = Mutex::new(Vec::new());
 
@@ -488,7 +603,7 @@ impl ParSim {
         });
 
         let mut slots = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-        slots.sort_by_key(|(idx, _, _, _)| *idx);
+        slots.sort_by_key(|slot| slot.idx);
         let mut worker_slots = profiles
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
@@ -500,19 +615,24 @@ impl ParSim {
             tasks_spawned: 0,
             tasks_leaked: 0,
             epochs: coord.epochs,
+            windows: 0,
             shards: Vec::with_capacity(shards),
+            shard_windows: Vec::with_capacity(shards),
             workers: worker_slots.into_iter().map(|(_, p)| p).collect(),
             shard_busy: Vec::with_capacity(shards),
             outputs: Vec::with_capacity(shards),
         };
-        for (_, s, out, busy) in slots {
+        for slot in slots {
+            let s = slot.summary;
             summary.end_time = summary.end_time.max(s.end_time);
             summary.events += s.events;
             summary.tasks_spawned += s.tasks_spawned;
             summary.tasks_leaked += s.tasks_leaked;
+            summary.windows += slot.windows;
             summary.shards.push(s);
-            summary.shard_busy.push(busy);
-            summary.outputs.push(out);
+            summary.shard_windows.push(slot.windows);
+            summary.shard_busy.push(slot.busy);
+            summary.outputs.push(slot.output);
         }
         summary
     }
@@ -525,7 +645,9 @@ struct ShardRt {
     comms: ShardComms,
     finisher: Option<Finisher>,
     /// Wall time this shard spent executing epoch windows (profiling).
-    busy: std::time::Duration,
+    busy: Duration,
+    /// Epoch windows this shard executed.
+    windows: u64,
 }
 
 fn build_shard(
@@ -574,14 +696,20 @@ fn build_shard(
         sim,
         comms,
         finisher: Some(finisher),
-        busy: std::time::Duration::ZERO,
+        busy: Duration::ZERO,
+        windows: 0,
     }
 }
 
 /// One shard's share of an epoch: inject this epoch's deliveries, run the
-/// window, drain the outbox. Returns the shard's next event time and its
-/// outgoing parcels.
-fn run_epoch(shard: &mut ShardRt, batch: Vec<Parcel>, horizon: u64) -> (Option<u64>, Vec<Parcel>) {
+/// window, move the outbox into `sent`. Returns the shard's next event
+/// time.
+fn run_epoch(
+    shard: &mut ShardRt,
+    batch: Vec<Parcel>,
+    horizon: u64,
+    sent: &mut Vec<Parcel>,
+) -> Option<u64> {
     if !batch.is_empty() {
         det::debug_assert_canonical(&batch, |p| (p.at.0, p.src, p.seq));
         let inbox = shard.comms.clone();
@@ -599,12 +727,13 @@ fn run_epoch(shard: &mut ShardRt, batch: Vec<Parcel>, horizon: u64) -> (Option<u
         });
     }
     shard.sim.run_window(SimTime(horizon));
-    let outs = std::mem::take(&mut *shard.comms.inner.outbox.borrow_mut());
-    (shard.sim.next_event_time().map(|t| t.0), outs)
+    shard.windows += 1;
+    sent.append(&mut shard.comms.inner.outbox.borrow_mut());
+    shard.sim.next_event_time().map(|t| t.0)
 }
 
 /// Decide the next epoch (or the end of the run) from global state.
-/// Runs on worker 0 between the epoch barriers.
+/// Runs on the last worker to reach the epoch barrier.
 fn compute_epoch(c: &mut Coord, lookahead: SimDuration) {
     if c.poisoned {
         c.done = true;
@@ -623,15 +752,21 @@ fn compute_epoch(c: &mut Coord, lookahead: SimDuration) {
         .checked_add(lookahead.as_nanos())
         .expect("virtual-time overflow computing epoch horizon");
     c.horizon = horizon;
-    let pending = std::mem::take(&mut c.pending);
-    for p in pending {
-        if p.at.0 < horizon {
-            c.batches[p.dst].push(p);
+    // Partition in place: `pending`'s order is thread-timing noise
+    // anyway, and the sort below erases it.
+    let Coord {
+        pending, batches, ..
+    } = c;
+    let mut i = 0;
+    while i < pending.len() {
+        if pending[i].at.0 < horizon {
+            let p = pending.swap_remove(i);
+            batches[p.dst].push(p);
         } else {
-            c.pending.push(p);
+            i += 1;
         }
     }
-    for batch in &mut c.batches {
+    for batch in batches.iter_mut() {
         // (src, seq) is unique per message, so this sort is total: the
         // thread-timing order in which workers appended to `pending`
         // cannot leak into what shards observe.
@@ -640,9 +775,14 @@ fn compute_epoch(c: &mut Coord, lookahead: SimDuration) {
     c.epochs += 1;
 }
 
-/// One finished shard's record: `(shard index, summary, finisher
-/// output, busy wall time)`.
-type SlotResult = (usize, RunSummary, Option<ShardOutput>, std::time::Duration);
+/// One finished shard's record.
+struct SlotResult {
+    idx: usize,
+    summary: RunSummary,
+    output: Option<ShardOutput>,
+    busy: Duration,
+    windows: u64,
+}
 
 #[allow(clippy::too_many_arguments)]
 fn worker_main(
@@ -653,12 +793,12 @@ fn worker_main(
     scheduler: Scheduler,
     lookahead: SimDuration,
     coord: &Mutex<Coord>,
-    barrier: &Barrier,
+    barrier: &EpochBarrier,
     results: &Mutex<Vec<SlotResult>>,
     profiles: &Mutex<Vec<(usize, WorkerProfile)>>,
 ) {
-    let started = std::time::Instant::now();
-    let mut busy = std::time::Duration::ZERO;
+    let started = Instant::now();
+    let mut prof = WorkerProfile::default();
     // Build on this thread (shard state never crosses threads). A panic
     // here or in an epoch must not strand peers at the barrier: record it,
     // poison the run, keep participating until everyone agrees to stop,
@@ -676,7 +816,7 @@ fn worker_main(
             Vec::new()
         }
     };
-    busy += started.elapsed();
+    let built = started.elapsed();
     {
         let mut c = lock(coord);
         for sh in &my_shards {
@@ -684,51 +824,87 @@ fn worker_main(
         }
     }
 
+    // Per-epoch buffers, reused: the shards with work this epoch (local
+    // index and batch), their next event times, and their sent parcels.
+    let mut work: Vec<(usize, Vec<Parcel>)> = Vec::with_capacity(my_shards.len());
+    let mut posts: Vec<(usize, Option<u64>)> = Vec::with_capacity(my_shards.len());
+    let mut sent: Vec<Parcel> = Vec::new();
+    let mut t = Instant::now();
     loop {
-        barrier.wait();
-        if wid == 0 {
-            compute_epoch(&mut lock(coord), lookahead);
-        }
-        barrier.wait();
-        let (done, horizon, batches) = {
+        let led = barrier.wait_then(|| {
             let mut c = lock(coord);
-            let batches: Vec<Vec<Parcel>> = my_shards
-                .iter()
-                .map(|sh| std::mem::take(&mut c.batches[sh.idx]))
-                .collect();
-            (c.done, c.horizon, batches)
+            if let Err(payload) =
+                catch_unwind(AssertUnwindSafe(|| compute_epoch(&mut c, lookahead)))
+            {
+                c.poisoned = true;
+                c.done = true;
+                panic_payload.get_or_insert(payload);
+            }
+        });
+        // The last arriver waited for nobody: its whole stay at the
+        // barrier was the coordinator step. (One clock read fewer per
+        // epoch than timing the step on its own.)
+        let t_released = Instant::now();
+        if led {
+            prof.handoff += t_released - t;
+        } else {
+            prof.barrier += t_released - t;
+        }
+
+        let (done, horizon) = {
+            let mut c = lock(coord);
+            let horizon = c.horizon;
+            for (i, sh) in my_shards.iter().enumerate() {
+                let batch = std::mem::take(&mut c.batches[sh.idx]);
+                // Skipping is exact: with no parcel and no event before
+                // the horizon, the window would pop no timer and poll no
+                // task, and the shard's next event time stays as posted.
+                if !batch.is_empty() || c.next_times[sh.idx].is_some_and(|n| n < horizon) {
+                    work.push((i, batch));
+                }
+            }
+            (c.done, horizon)
         };
+        let t_taken = Instant::now();
+        prof.handoff += t_taken - t_released;
+        t = t_taken;
         if done {
             break;
         }
-        if panic_payload.is_some() {
-            continue; // already failed; just keep the barriers balanced
+        if panic_payload.is_some() || work.is_empty() {
+            // Nothing to run (or already failed): keep the barrier balanced.
+            work.clear();
+            continue;
         }
-        let work_t0 = std::time::Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut posts: Vec<(usize, Option<u64>)> = Vec::with_capacity(my_shards.len());
-            let mut sent: Vec<Parcel> = Vec::new();
-            for (sh, batch) in my_shards.iter_mut().zip(batches) {
-                let t0 = std::time::Instant::now();
-                let (next, outs) = run_epoch(sh, batch, horizon);
-                sh.busy += t0.elapsed();
+            let mut t_prev = t_taken;
+            for (i, batch) in work.drain(..) {
+                let sh = &mut my_shards[i];
+                let next = run_epoch(sh, batch, horizon, &mut sent);
+                let t_now = Instant::now();
+                sh.busy += t_now - t_prev;
+                t_prev = t_now;
                 posts.push((sh.idx, next));
-                sent.extend(outs);
             }
-            (posts, sent)
+            t_prev
         }));
-        busy += work_t0.elapsed();
         match outcome {
-            Ok((posts, sent)) => {
+            Ok(t_ran) => {
+                prof.windows += t_ran - t_taken;
                 let mut c = lock(coord);
-                for (idx, next) in posts {
+                for (idx, next) in posts.drain(..) {
                     c.next_times[idx] = next;
                 }
-                c.pending.extend(sent);
+                c.pending.append(&mut sent);
+                drop(c);
+                t = Instant::now();
+                prof.handoff += t - t_ran;
             }
             Err(payload) => {
+                work.clear();
                 lock(coord).poisoned = true;
                 panic_payload = Some(payload);
+                t = Instant::now();
             }
         }
     }
@@ -736,12 +912,18 @@ fn worker_main(
     if let Some(payload) = panic_payload {
         resume_unwind(payload);
     }
-    let idle = started.elapsed().saturating_sub(busy);
-    lock(profiles).push((wid, WorkerProfile { busy, idle }));
+    prof.busy = built + prof.windows;
+    prof.idle = started.elapsed().saturating_sub(prof.busy);
+    lock(profiles).push((wid, prof));
     for mut sh in my_shards {
-        let out = sh.finisher.take().map(|f| f());
-        let summary = sh.sim.summary();
-        lock(results).push((sh.idx, summary, out, sh.busy));
+        let output = sh.finisher.take().map(|f| f());
+        lock(results).push(SlotResult {
+            idx: sh.idx,
+            summary: sh.sim.summary(),
+            output,
+            busy: sh.busy,
+            windows: sh.windows,
+        });
     }
 }
 
@@ -908,5 +1090,142 @@ mod tests {
         assert_eq!(s.shard_busy.len(), 3);
         assert!(s.epochs > 0);
         assert!(s.events_per_epoch() > 0.0);
+    }
+
+    /// A fleet where shards 0 and 1 ping-pong every lookahead while the
+    /// other shards sleep until a far-future timer, then each send one
+    /// message to shard 0. Returns every shard's log of (time, value).
+    fn mostly_sleeping(workers: usize) -> (Vec<Vec<(u64, u64)>>, ParSummary) {
+        const SHARDS: usize = 6;
+        let mut par = ParSim::new(3)
+            .lookahead(SimDuration::micros(1))
+            .workers(workers);
+        for _ in 0..SHARDS {
+            par.add_shard(move |ctx| {
+                let h = ctx.handle();
+                let comms = ctx.comms();
+                let me = ctx.shard();
+                let log = Rc::new(RefCell::new(Vec::new()));
+                let log2 = Rc::clone(&log);
+                if me < 2 {
+                    h.spawn(async move {
+                        if me == 0 {
+                            comms.send(1, 0u64);
+                        }
+                        while let Some(env) = comms.recv().await {
+                            let at = env.at.0;
+                            let v = env.open::<u64>();
+                            log2.borrow_mut().push((at, v));
+                            if v < 400 {
+                                comms.send(1 - me, v + 1);
+                            }
+                        }
+                    });
+                } else {
+                    let h2 = h.clone();
+                    h.spawn(async move {
+                        h2.sleep(SimDuration::micros(150 + 7 * me as u64)).await;
+                        log2.borrow_mut().push((h2.now().0, me as u64));
+                        comms.send(0, 1_000 + me as u64);
+                    });
+                }
+                move || log.borrow().clone()
+            });
+        }
+        let mut summary = par.run();
+        let logs = (0..SHARDS)
+            .map(|i| summary.take::<Vec<(u64, u64)>>(i))
+            .collect();
+        (logs, summary)
+    }
+
+    #[test]
+    fn sleeping_shards_replay_identically_across_worker_counts() {
+        let (l1, s1) = mostly_sleeping(1);
+        for workers in [2, 8] {
+            let (lw, sw) = mostly_sleeping(workers);
+            assert_eq!(l1, lw, "outputs diverged at workers={workers}");
+            assert_eq!(
+                s1.shards, sw.shards,
+                "run summaries diverged at workers={workers}"
+            );
+            assert_eq!(s1.epochs, sw.epochs);
+            assert_eq!(s1.windows, sw.windows);
+            assert_eq!(s1.shard_windows, sw.shard_windows);
+        }
+        // The sleepers' messages reached shard 0 mid-chatter.
+        assert_eq!(l1[0].iter().filter(|(_, v)| *v >= 1_000).count(), 4);
+    }
+
+    #[test]
+    fn sleeping_shards_run_no_windows_until_their_timer() {
+        let (logs, s) = mostly_sleeping(1);
+        let shards = s.shards.len() as u64;
+        assert!(
+            s.windows < shards * s.epochs,
+            "{} windows over {} epochs of {shards} shards: nothing was skipped",
+            s.windows,
+            s.epochs
+        );
+        assert_eq!(s.windows, s.shard_windows.iter().sum::<u64>());
+        for (sleeper, log) in logs.iter().enumerate().skip(2) {
+            // One window at time 0 polls the freshly spawned tasks, the
+            // next is the one that fires the timer at T: none between.
+            assert_eq!(s.shard_windows[sleeper], 2, "shard {sleeper}");
+            assert_eq!(log.len(), 1);
+        }
+        // The chattering pair has work in nearly every epoch.
+        assert!(s.shard_windows[0] + s.shard_windows[1] >= s.epochs);
+    }
+
+    /// `n` threads pass `gens` generations of the barrier; the leader of
+    /// each bumps a counter that every thread must observe on release.
+    /// Panics (instead of hanging the suite) if a wake-up is lost.
+    fn stress_barrier(n: usize, spin: bool, gens: u64) {
+        use std::sync::atomic::AtomicU64;
+        use std::sync::Arc;
+        let barrier = Arc::new(EpochBarrier::with_spin(n, spin));
+        let count = Arc::new(AtomicU64::new(0));
+        let threads: Vec<_> = (0..n)
+            .map(|_| {
+                let (barrier, count) = (Arc::clone(&barrier), Arc::clone(&count));
+                std::thread::spawn(move || {
+                    let mut led = 0;
+                    for g in 0..gens {
+                        led += u64::from(barrier.wait_then(|| {
+                            count.fetch_add(1, Ordering::Relaxed);
+                        }));
+                        assert_eq!(count.load(Ordering::Relaxed), g + 1);
+                    }
+                    led
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while !threads.iter().all(|t| t.is_finished()) {
+            assert!(
+                Instant::now() < deadline,
+                "barrier wedged at n={n} spin={spin}: {} of {gens} generations",
+                count.load(Ordering::Relaxed)
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let led: u64 = threads
+            .into_iter()
+            .map(|t| t.join().expect("barrier participant panicked"))
+            .sum();
+        assert_eq!(count.load(Ordering::Relaxed), gens);
+        assert_eq!(led, gens, "exactly one leader per generation");
+    }
+
+    #[test]
+    fn epoch_barrier_loses_no_wakeups() {
+        // n = 8 oversubscribes a small host: waiters must park and be
+        // woken, not just spin past the release.
+        for n in [1, 2, 8] {
+            for spin in [false, true] {
+                stress_barrier(n, spin, 10_000);
+            }
+        }
     }
 }

@@ -23,10 +23,13 @@
 //!   [`Snapshot::merge_sum`].
 //!
 //! Every runner also surfaces the `ParSim` efficiency counters —
-//! `sim.epochs`, `sim.events_per_epoch`, per-shard busy and per-worker
-//! busy/idle wall time — in the merged snapshot (see [`FleetProfile`]),
-//! so every sharded `*_metrics.json` records how well the fleet
-//! parallelised.
+//! `sim.epochs`, `sim.events` and `sim.windows` (shard windows run; the
+//! exact events-per-epoch and windows-per-epoch ratios follow from
+//! these), per-shard busy wall time, and per-worker busy/idle wall time
+//! split by epoch phase (windows, handoff, barrier) — in the merged
+//! snapshot (see [`FleetProfile`]), so every sharded `*_metrics.json`
+//! records how well the fleet parallelised and where the epoch loop's
+//! host time went.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -37,7 +40,7 @@ use imca_core::{ShardCluster, ShardPlan, ShardTopology};
 use imca_fabric::{Network, NodeId, RpcClient, Service, WireSize};
 use imca_metrics::Snapshot;
 use imca_sim::stats::Histogram;
-use imca_sim::{ParSim, ParSummary, SimDuration, SimHandle, SimTime};
+use imca_sim::{ParSim, ParSummary, SimDuration, SimHandle, SimTime, WorkerProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,14 +75,32 @@ pub struct FleetProfile {
     pub epochs: u64,
     /// Events per epoch — the lookahead-efficiency figure.
     pub events_per_epoch: f64,
+    /// Shard windows run fleet-wide; at most `shards × epochs`, since a
+    /// shard with no work before the horizon skips the epoch.
+    pub windows: u64,
     /// Per-shard busy wall time (host ns): the critical-path input.
     pub shard_busy_ns: Vec<u64>,
     /// Per-worker busy wall time (host ns).
     pub worker_busy_ns: Vec<u64>,
     /// Per-worker idle wall time (host ns).
     pub worker_idle_ns: Vec<u64>,
+    /// Per-worker host ns running shard windows.
+    pub worker_window_ns: Vec<u64>,
+    /// Per-worker host ns in the coordinator handoff (horizon, parcel
+    /// partition and sort, taking batches, posting results).
+    pub worker_handoff_ns: Vec<u64>,
+    /// Per-worker host ns waiting at the epoch barrier.
+    pub worker_barrier_ns: Vec<u64>,
     /// Wall-clock duration of the whole run (host ns).
     pub wall_ns: u64,
+}
+
+impl FleetProfile {
+    /// Shard windows run per epoch: 1 when one shard carries every
+    /// epoch, the shard count when every shard works in every epoch.
+    pub fn windows_per_epoch(&self) -> f64 {
+        self.windows as f64 / self.epochs.max(1) as f64
+    }
 }
 
 /// Extract the profile from a finished run and record it as `sim.*`
@@ -88,39 +109,41 @@ pub struct FleetProfile {
 fn fleet_profile(summary: &ParSummary, wall_ns: u64, metrics: &mut Snapshot) -> FleetProfile {
     metrics.set_counter("sim.epochs", summary.epochs);
     metrics.set_counter("sim.events", summary.events);
-    metrics.set_counter("sim.events_per_epoch", summary.events_per_epoch() as u64);
-    let shard_busy_ns: Vec<u64> = summary
-        .shard_busy
-        .iter()
-        .map(|d| d.as_nanos() as u64)
-        .collect();
+    metrics.set_counter("sim.windows", summary.windows);
+    let ns = |d: &std::time::Duration| d.as_nanos() as u64;
+    let shard_busy_ns: Vec<u64> = summary.shard_busy.iter().map(ns).collect();
     for (s, b) in shard_busy_ns.iter().enumerate() {
         metrics.set_counter(format!("sim.shard.{s}.busy_ns"), *b);
     }
-    let worker_busy_ns: Vec<u64> = summary
-        .workers
-        .iter()
-        .map(|w| w.busy.as_nanos() as u64)
-        .collect();
-    let worker_idle_ns: Vec<u64> = summary
-        .workers
-        .iter()
-        .map(|w| w.idle.as_nanos() as u64)
-        .collect();
-    for (w, (b, i)) in worker_busy_ns.iter().zip(&worker_idle_ns).enumerate() {
-        metrics.set_counter(format!("sim.worker.{w}.busy_ns"), *b);
-        metrics.set_counter(format!("sim.worker.{w}.idle_ns"), *i);
-    }
-    FleetProfile {
+    let per_worker = |f: fn(&WorkerProfile) -> &std::time::Duration| -> Vec<u64> {
+        summary.workers.iter().map(|w| ns(f(w))).collect()
+    };
+    let profile = FleetProfile {
         end_time_ns: summary.end_time.as_nanos(),
         events: summary.events,
         epochs: summary.epochs,
         events_per_epoch: summary.events_per_epoch(),
+        windows: summary.windows,
         shard_busy_ns,
-        worker_busy_ns,
-        worker_idle_ns,
+        worker_busy_ns: per_worker(|w| &w.busy),
+        worker_idle_ns: per_worker(|w| &w.idle),
+        worker_window_ns: per_worker(|w| &w.windows),
+        worker_handoff_ns: per_worker(|w| &w.handoff),
+        worker_barrier_ns: per_worker(|w| &w.barrier),
         wall_ns,
+    };
+    for w in 0..summary.workers.len() {
+        for (phase, v) in [
+            ("busy", &profile.worker_busy_ns),
+            ("idle", &profile.worker_idle_ns),
+            ("window", &profile.worker_window_ns),
+            ("handoff", &profile.worker_handoff_ns),
+            ("barrier", &profile.worker_barrier_ns),
+        ] {
+            metrics.set_counter(format!("sim.worker.{w}.{phase}_ns"), v[w]);
+        }
     }
+    profile
 }
 
 /// Projected critical-path speedup of this shard set on `workers`
